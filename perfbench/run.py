@@ -16,13 +16,15 @@ A run
 2. sets up once: SparkSession start (JVM launch included), data
    generation, load/persist/materialize, and one warm-up pass whose
    answers are checked against the oracle; that is ``setup_s``;
-3. runs timed passes over the query list for ``--seconds`` (noop sink);
-   ``query_s`` is the median pass time. A pass is timed from the API
-   call to the last row written, summed over the pass's queries.
+3. runs passes over the query list for ``--seconds`` (noop sink); the
+   first ``WARM_ROUNDS`` are not recorded, and ``query_s`` is the median
+   time of the others. A pass is timed from the API call to the last
+   row written, summed over the pass's queries.
 
-With ``--trace 1`` the second half of ``--seconds`` runs with driver
-spans, Spark's event log and the Python UDF profiler on, and the run
-prints per-layer metrics instead (see ``tracing.py``).
+With ``--trace 1`` Spark's event log is on for the whole session and
+the timed passes alternate: an untraced pass, then one with driver spans
+and the Python UDF profiler on. The run prints per-layer metrics instead
+(see ``tracing.py``).
 
 The last stdout line is the result object; the line before it holds
 provenance and sample counts. Everything the run writes goes under
@@ -41,6 +43,7 @@ import sys
 import threading
 import time
 import traceback
+from contextlib import nullcontext
 from pathlib import Path
 
 import numpy as np
@@ -50,7 +53,8 @@ ROOT = HERE.parent
 SRC = ROOT / "src"
 WORK = HERE / ".work"
 
-MIN_PASSES = 3  # the first pass after set-up still runs slow; the median drops it
+WARM_ROUNDS = 2  # the JVM still speeds up over the first passes after set-up
+MIN_PASSES = 3
 QUERY_TIMEOUT_S = 40.0
 SHUFFLE_PARTITIONS = 64
 DRIVER_MEMORY = "2g"
@@ -240,28 +244,48 @@ class Bench:
             if len(got) != len(want) or not np.array_equal(got, want):
                 self._fail(f"{tag} {q.name}: {len(got)} rows differ from the oracle's {len(want)}")
 
-    def _timed_passes(self, queries, seconds: float, tag: str, after_query=None):
-        """Closed loop of passes for ``seconds``; per-pass and per-query seconds.
+    def _one_pass(self, queries, tag: str, after_query=None):
+        """One pass over ``queries``: (seconds, per-query seconds), or None on a failure."""
+        total, per_query = 0.0, {}
+        for q in queries:
+            qid = f"{tag}-{q.name}"
+            out = self._run_query(q, qid, collect=False)
+            if out is None:
+                return None
+            total += out[0]
+            per_query[q.name] = out[0]
+            if after_query is not None:
+                after_query(qid)
+        return total, per_query
 
-        A pass starts only if one more pass of the last pass's length fits
-        in ``seconds``, except that ``MIN_PASSES`` passes always run.
+    def _timed_passes(self, queries, seconds: float, modes=(("p", None),)) -> dict:
+        """Closed loop of rounds for ``seconds``; per mode tag, pass and per-query seconds.
+
+        A round runs one pass in each mode, in order. A mode is a tag (the
+        prefix of its query ids) and None or a context manager factory
+        whose value is called with each query id after the query. The
+        first ``WARM_ROUNDS`` rounds are not recorded. A round starts only
+        if one more round of the last round's length fits in ``seconds``,
+        except that ``MIN_PASSES`` recorded rounds always run.
         """
-        passes: list[float] = []
-        per_query: dict[str, list[float]] = {q.name: [] for q in queries}
+        out = {tag: {"passes": [], "per_query": {q.name: [] for q in queries}} for tag, _ in modes}
         start = time.perf_counter()
-        while len(passes) < MIN_PASSES or time.perf_counter() - start + passes[-1] <= seconds:
-            total = 0.0
-            for q in queries:
-                qid = f"{tag}{len(passes)}-{q.name}"
-                out = self._run_query(q, qid, collect=False)
-                if out is None:
-                    return passes, per_query
-                total += out[0]
-                per_query[q.name].append(out[0])
-                if after_query is not None:
-                    after_query(qid)
-            passes.append(total)
-        return passes, per_query
+        rounds, last = 0, 0.0
+        while rounds < WARM_ROUNDS + MIN_PASSES or time.perf_counter() - start + last <= seconds:
+            t0 = time.perf_counter()
+            for tag, mode in modes:
+                with (mode() if mode is not None else nullcontext()) as after_query:
+                    res = self._one_pass(queries, f"{tag}{rounds}", after_query)
+                if res is None:
+                    return out
+                if rounds < WARM_ROUNDS:
+                    continue
+                out[tag]["passes"].append(res[0])
+                for name, s in res[1].items():
+                    out[tag]["per_query"][name].append(s)
+            rounds += 1
+            last = time.perf_counter() - t0
+        return out
 
     # -- the run -------------------------------------------------------
     def run(self) -> dict:
@@ -285,13 +309,13 @@ class Bench:
         setup = {"session_s": t1 - t0, "generate_s": t2 - t1, "load_s": t3 - t2,
                  "warmup_s": t4 - t3, "total_s": t4 - t0}
 
-        seconds = self.args.seconds / 2 if trace else self.args.seconds
-        passes, per_query = self._timed_passes(queries, seconds, "p")
-        self.untraced_per_query = per_query
-        traced = None
         if trace:
             from tracing import traced_loop
-            traced = traced_loop(self, queries, seconds)
+            loop = traced_loop(self, queries, self.args.seconds)
+        else:
+            loop = self._timed_passes(queries, self.args.seconds)
+        passes, per_query = loop["p"]["passes"], loop["p"]["per_query"]
+        traced = loop.get("t")
         rss_mb = _worker_peak_rss_mb()
         prov = _provenance(self.spark, self.args, wl)
         app_id = self.spark.sparkContext.applicationId
@@ -312,7 +336,7 @@ class Bench:
         }
         if trace:
             from tracing import per_layer_metrics
-            metrics = per_layer_metrics(self, traced, setup, query_s, app_id, WORK / "traces")
+            metrics = per_layer_metrics(self, loop, setup, app_id, WORK / "traces")
         else:
             metrics = {
                 "query_s": {"value": query_s, "unit": "s"},

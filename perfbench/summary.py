@@ -2,13 +2,12 @@
 
 Usage (from the repository root):
 
-    python3 perfbench/summary.py [--seed 1] [--seconds 10] [--workload NAME ...] [--no-run]
+    python3 perfbench/summary.py [--seed 1] [--seconds 10] [--workload NAME ...]
 
 Runs ``run.py --trace 1`` for each workload (all by default), then reads
 the trace each run leaves in ``perfbench/.work/traces/<workload>.json``
 and prints, per workload, the self time of every layer per traced pass
 and the skyline's local and global stages with rows in and out.
-``--no-run`` only summarizes the traces already there.
 """
 from __future__ import annotations
 
@@ -54,17 +53,15 @@ def main(argv=None) -> int:
     ap.add_argument("--workload", nargs="*", choices=sorted(SIZES), default=list(SIZES))
     ap.add_argument("--seed", type=int, default=1)
     ap.add_argument("--seconds", type=float, default=10)
-    ap.add_argument("--no-run", action="store_true", help="summarize existing traces only")
     args = ap.parse_args(argv)
     status = 0
     for name in args.workload:
-        if not args.no_run:
-            cmd = [sys.executable, str(HERE / "run.py"), "--workload", name, "--seed", str(args.seed),
-                   "--seconds", str(args.seconds), "--trace", "1"]
-            if subprocess.run(cmd, stdout=subprocess.DEVNULL).returncode != 0:
-                print(f"== {name}: traced run failed ==")
-                status = 1
-                continue
+        cmd = [sys.executable, str(HERE / "run.py"), "--workload", name, "--seed", str(args.seed),
+               "--seconds", str(args.seconds), "--trace", "1"]
+        if subprocess.run(cmd, stdout=subprocess.DEVNULL).returncode != 0:
+            print(f"== {name}: traced run failed ==")
+            status = 1
+            continue
         path = TRACES / f"{name}.json"
         if not path.is_file():
             print(f"== {name}: no trace at {path} ==")

@@ -5,9 +5,10 @@ Run from the repository root (takes a few minutes; each run starts Spark):
     python3 -m pytest perfbench/tests -q
 
 Every workload, including those ``BENCHMARK.json`` does not list, runs
-once untraced and once traced; each must print, as
-its last line, a correct result carrying exactly the metrics that
-``BENCHMARK.json`` names, with their units. The oracle itself is checked
+once untraced and once traced; each must print, as its last line, a
+correct result carrying exactly the metrics that ``BENCHMARK.json``
+names, with their units. A traced run must report above 0 the figures
+that each of its sources yields on that workload. The oracle itself is checked
 against a DuckDB ``NOT EXISTS`` skyline, and the benchmark must refuse to
 run where the program's sources are missing.
 """
@@ -51,8 +52,37 @@ def test_run_prints_every_metric_with_its_unit(workload, trace):
         got = result["metrics"][m["name"]]
         assert got["unit"] == m["unit"], m["name"]
         assert isinstance(got["value"], (int, float)), m["name"]
+    values = {k: v["value"] for k, v in result["metrics"].items()}
     if not trace:
-        assert all(result["metrics"][m["name"]]["value"] > 0 for m in spec)
+        assert all(v > 0 for v in values.values()), values
+        return
+    # The traced figures must come from the program: each source (event
+    # log, UDF profiles, wrapped functions) has to yield its numbers.
+    positive = TRACED_POSITIVE["all"] + TRACED_POSITIVE[workload]
+    assert [k for k in positive if not values[k] > 0] == [], values
+    if workload.startswith("ss-"):
+        assert 0 < values["worker.kernel_share.local"] <= 1, values
+
+
+# Per-layer metrics a traced run must report above 0, per workload. The
+# skyline stages run on every workload; the kernels' sources show on
+# store_sales, the SQL layers' only on mb-sql.
+TRACED_POSITIVE = {
+    "all": ["spark.stages", "spark.tasks", "spark.action_s", "spark.executor_run_s",
+            "spark.skyline_local.tasks", "spark.skyline_local.max_task_s",
+            "spark.skyline_global.s", "spark.skyline_global.rows_in", "physical.lower_s",
+            "worker.stage_s.local", "self.spark.executor_s", "session.start_s", "warmup_s"],
+    "ss-complete-6d": ["api.skyline_s", "physical.chose.distributed_complete",
+                       "bnl.bnl_skyline_mask_calls", "bnl.bnl_skyline_mask_s",
+                       "dominance.any_dominates_complete_calls"],
+    "ss-incomplete-6d": ["api.skyline_s", "physical.chose.distributed_incomplete",
+                         "bnl.bnl_skyline_mask_calls", "bnl.incomplete_local_skyline_mask_s",
+                         "bnl.incomplete_global_skyline_mask_s"],
+    "mb-sql": ["sqlext.sky_sql_s", "sqlext.parse_s", "sqlext.analyze_s", "optimizer.single_dim_rewrites",
+               "physical.chose.reference", "physical.chose.distributed_complete",
+               "physical.chose.distributed_incomplete", "query.mb-c1_s", "query.mb-c6-sort_s",
+               "query.mb-i4_s", "query.mb-i4-ref_s"],
+}
 
 
 def _duckdb_skyline(x: np.ndarray, complete: bool) -> np.ndarray:

@@ -39,7 +39,6 @@ LAYER = {
     "spark.action": "spark.driver",
     "spark.stage": "spark.executor",
 }
-ALGORITHMS = ("distributed_complete", "non_distributed_complete", "distributed_incomplete", "reference")
 MB_QUERIES = ("mb-c1", "mb-c6-sort", "mb-i4", "mb-i4-ref")
 
 # (file, function) -> metric for cumulative seconds; the profiler strips
@@ -167,24 +166,34 @@ def instrumented(tracer: Tracer):
 
 
 def traced_loop(bench, queries, seconds: float) -> dict:
-    """Timed passes with spans, the UDF profiler and per-query profile dumps."""
+    """Timed rounds of an untraced pass (tag ``p``) and a traced one (``t``).
+
+    A traced pass runs with spans, wrapped public functions and the UDF
+    profiler, whose profiles are dumped after every query. Alternating
+    keeps warm-up drift out of the comparison of the two.
+    """
     spark = bench.spark
     prof_dir = bench.run_dir / "profiles"
     spark.profile.clear(type="perf")
-    spark.conf.set("spark.sql.pyspark.udf.profiler", "perf")
 
     def dump(qid: str) -> None:
         spark.profile.dump(str(prof_dir / qid), type="perf")
         spark.profile.clear(type="perf")
 
-    bench.tracer.enabled = True
-    try:
-        with instrumented(bench.tracer):
-            passes, per_query = bench._timed_passes(queries, seconds, "t", after_query=dump)
-    finally:
-        bench.tracer.enabled = False
-        spark.conf.unset("spark.sql.pyspark.udf.profiler")
-    return {"passes": passes, "per_query": per_query, "profiles": prof_dir}
+    @contextmanager
+    def tracing():
+        spark.conf.set("spark.sql.pyspark.udf.profiler", "perf")
+        bench.tracer.enabled = True
+        try:
+            with instrumented(bench.tracer):
+                yield dump
+        finally:
+            bench.tracer.enabled = False
+            spark.conf.unset("spark.sql.pyspark.udf.profiler")
+
+    loop = bench._timed_passes(queries, seconds, (("p", None), ("t", tracing)))
+    loop["profiles"] = prof_dir
+    return loop
 
 
 # ---------------------------------------------------------------------------
@@ -393,8 +402,8 @@ def _median(values) -> float:
     return statistics.median(values) if values else 0.0
 
 
-def per_layer_metrics(bench, traced: dict, setup: dict, untraced_query_s: float,
-                      app_id: str, traces_dir: Path) -> dict:
+def per_layer_metrics(bench, loop: dict, setup: dict, app_id: str, traces_dir: Path) -> dict:
+    """Every ``per_layer`` metric of BENCHMARK.json, with its unit."""
     tracer = bench.tracer
     log = parse_event_log(bench.run_dir / "events" / app_id)
     spans = list(tracer.spans)
@@ -407,7 +416,7 @@ def per_layer_metrics(bench, traced: dict, setup: dict, untraced_query_s: float,
             continue
         pass_id = qid.split("-", 1)[0]
         per_pass[pass_id].update(_stage_metrics(q))
-        per_pass[pass_id].update(_profile_metrics(traced["profiles"] / qid))
+        per_pass[pass_id].update(_profile_metrics(loop["profiles"] / qid))
         for st in q["stages"]:
             spans.append({"id": next_id, "name": "spark.stage", "parent": action_of[qid]["id"],
                           "qid": qid, "stage": st["id"], "kind": st.get("kind", "other"),
@@ -430,56 +439,23 @@ def per_layer_metrics(bench, traced: dict, setup: dict, untraced_query_s: float,
         local = p.get("worker.stage_s.local", 0.0)
         p["worker.kernel_share.local"] = p.get("worker.kernel_s.local", 0.0) / local if local else 0.0
 
-    untraced = bench.untraced_per_query
+    untraced, traced = loop["p"], loop["t"]
     values = {
         "session.start_s": setup["session_s"],
         "data.generate_s": setup["generate_s"],
         "data.load_s": setup["load_s"],
         "warmup_s": setup["warmup_s"],
-        "trace.overhead_s": _median(traced["passes"]) - untraced_query_s if traced["passes"] else 0.0,
+        "trace.overhead_s": _median(traced["passes"]) - _median(untraced["passes"]),
     }
     for name in MB_QUERIES:
-        values[f"query.{name}_s"] = _median(untraced.get(name, []))
-    for name in METRICS_FROM_PASSES:
-        values[name] = _median(p.get(name, 0.0) for p in per_pass.values())
-
-    metrics = {name: {"value": float(values.get(name, 0.0)), "unit": unit} for name, unit in PER_LAYER}
+        values[f"query.{name}_s"] = _median(untraced["per_query"].get(name, []))
+    spec = json.loads((Path(__file__).resolve().parent.parent / "BENCHMARK.json").read_text())
+    for m in spec["per_layer"]:
+        if m["name"] not in values:
+            values[m["name"]] = _median(p.get(m["name"], 0.0) for p in per_pass.values())
+    metrics = {m["name"]: {"value": float(values[m["name"]]), "unit": m["unit"]} for m in spec["per_layer"]}
     traces_dir.mkdir(parents=True, exist_ok=True)
     out = traces_dir / f"{bench.workload.name}.json"
     out.write_text(json.dumps({"workload": bench.workload.name, "seed": bench.args.seed,
                                "metrics": metrics, "spans": spans}, default=str))
     return metrics
-
-
-# Every per-layer metric, in BENCHMARK.json order, with its unit.
-PER_LAYER = [
-    ("session.start_s", "s"), ("data.generate_s", "s"),
-    ("data.load_s", "s"), ("warmup_s", "s"),
-    ("sqlext.sky_sql_s", "s"), ("sqlext.parse_s", "s"), ("sqlext.analyze_s", "s"),
-    ("sqlext.rewrite_s", "s"),
-    ("optimizer.optimize_s", "s"), ("optimizer.single_dim_rewrites", "count"),
-    ("api.skyline_s", "s"), ("physical.lower_s", "s"), ("physical.select_algorithm_s", "s"),
-    *[(f"physical.chose.{a}", "count") for a in ALGORITHMS],
-    ("spark.action_s", "s"), ("spark.stages", "count"), ("spark.tasks", "count"),
-    ("spark.executor_run_s", "s"), ("spark.shuffle_write_mb", "MB"),
-    ("spark.shuffle_read_records", "count"),
-    ("spark.skyline_local.tasks", "count"), ("spark.skyline_local.busy_tasks", "count"),
-    ("spark.skyline_local.max_task_s", "s"), ("spark.skyline_local.s", "s"),
-    ("spark.skyline_local.rows_in", "count"), ("spark.skyline_local.rows_out", "count"),
-    ("spark.skyline_global.tasks", "count"), ("spark.skyline_global.s", "s"),
-    ("spark.skyline_global.rows_in", "count"), ("spark.skyline_global.rows_out", "count"),
-    ("worker.stage_s.local", "s"), ("worker.stage_s.global", "s"),
-    ("worker.kernel_share.local", "fraction"), ("worker.arrow_to_pandas_s", "s"),
-    ("dominance.normalize_matrix_s", "s"), ("bnl.bnl_skyline_mask_s", "s"),
-    ("bnl.incomplete_local_skyline_mask_s", "s"), ("bnl.incomplete_global_skyline_mask_s", "s"),
-    ("dominance.dominated_mask_complete_s", "s"), ("dominance.dominated_mask_incomplete_s", "s"),
-    ("bnl.bnl_skyline_mask_calls", "count"), ("dominance.any_dominates_complete_calls", "count"),
-    ("self.bench_s", "s"), ("self.api_s", "s"), ("self.sqlext_s", "s"),
-    ("self.core.optimizer_s", "s"), ("self.core.physical_s", "s"),
-    ("self.spark.driver_s", "s"), ("self.spark.executor_s", "s"),
-    *[(f"query.{q}_s", "s") for q in MB_QUERIES],
-    ("trace.overhead_s", "s"),
-]
-_DIRECT = {"session.start_s", "data.generate_s", "data.load_s",
-           "warmup_s", "trace.overhead_s", *[f"query.{q}_s" for q in MB_QUERIES]}
-METRICS_FROM_PASSES = [name for name, _ in PER_LAYER if name not in _DIRECT]
