@@ -37,6 +37,7 @@ import hashlib
 import json
 import os
 import shutil
+import signal
 import statistics
 import subprocess
 import sys
@@ -103,8 +104,8 @@ def _session(run_dir: Path, trace: bool):
     return spark
 
 
-def _worker_peak_rss_mb() -> float:
-    """Largest VmHWM of this run's PySpark Python workers (daemon and forks)."""
+def _parents() -> dict[int, int]:
+    """pid -> parent pid of every process visible in /proc."""
     parent: dict[int, int] = {}
     for p in Path("/proc").iterdir():
         if p.name.isdigit():
@@ -113,6 +114,12 @@ def _worker_peak_rss_mb() -> float:
                 parent[int(p.name)] = int(stat[stat.rindex(")") + 2:].split()[1])
             except (OSError, ValueError):
                 continue
+    return parent
+
+
+def _descendants() -> list[int]:
+    """Every process started under this one: the Spark JVM, its Python workers, ..."""
+    parent = _parents()
 
     def ours(pid: int) -> bool:
         while pid in parent:
@@ -121,13 +128,16 @@ def _worker_peak_rss_mb() -> float:
                 return True
         return False
 
+    return [pid for pid in parent if ours(pid)]
+
+
+def _worker_peak_rss_mb() -> float:
+    """Largest VmHWM of this run's PySpark Python workers (daemon and forks)."""
     peak_kb = 0
-    for pid in parent:
+    for pid in _descendants():
         try:
             cmd = Path(f"/proc/{pid}/cmdline").read_bytes()
             if b"pyspark.daemon" not in cmd and b"pyspark/daemon.py" not in cmd:
-                continue
-            if not ours(pid):
                 continue
             for line in Path(f"/proc/{pid}/status").read_text().splitlines():
                 if line.startswith("VmHWM:"):
@@ -135,6 +145,64 @@ def _worker_peak_rss_mb() -> float:
         except (OSError, ValueError):
             continue
     return peak_kb / 1024.0
+
+
+def _become_subreaper() -> None:
+    """Adopt orphaned descendants (Python workers outlive the JVM briefly), so they can be waited for."""
+    try:
+        import ctypes
+        ctypes.CDLL(None, use_errno=True).prctl(36, 1, 0, 0, 0)  # PR_SET_CHILD_SUBREAPER
+    except (OSError, AttributeError):
+        pass
+
+
+def _stop_all(spark, grace_s: float = 30.0) -> None:
+    """Stop Spark and its JVM, then wait until every process started under this one has ended.
+
+    ``SparkSession.stop`` leaves the py4j gateway JVM running until the
+    interpreter exits, and the JVM then ends on its own, after this
+    process. Here the JVM is told to exit (its stdin is closed) and is
+    waited for; stragglers are killed once ``grace_s`` has passed.
+    """
+    if spark is not None:
+        try:
+            spark.stop()
+        except Exception:  # the JVM may be gone already; it is stopped below either way
+            traceback.print_exc(limit=2)
+    if "pyspark" in sys.modules:
+        from pyspark import SparkContext
+
+        gateway, SparkContext._gateway, SparkContext._jvm = SparkContext._gateway, None, None
+        proc = getattr(gateway, "proc", None)
+        if proc is not None:
+            if proc.stdin is not None:
+                proc.stdin.close()
+            try:
+                proc.wait(grace_s)
+            except subprocess.TimeoutExpired:
+                proc.kill()
+                proc.wait()
+    deadline, killed = time.monotonic() + grace_s, False
+    while True:
+        try:
+            while os.waitpid(-1, os.WNOHANG)[0] > 0:
+                pass
+        except ChildProcessError:
+            pass
+        left = _descendants()
+        if not left:
+            return
+        if time.monotonic() > deadline:
+            if killed:
+                print(f"perfbench: processes {left} did not end", file=sys.stderr)
+                return
+            for pid in left:
+                try:
+                    os.kill(pid, signal.SIGKILL)
+                except OSError:
+                    pass
+            deadline, killed = time.monotonic() + 10.0, True
+        time.sleep(0.05)
 
 
 def _provenance(spark, args, workload) -> dict:
@@ -319,7 +387,7 @@ class Bench:
         rss_mb = _worker_peak_rss_mb()
         prov = _provenance(self.spark, self.args, wl)
         app_id = self.spark.sparkContext.applicationId
-        self.spark.stop()
+        _stop_all(self.spark)
         self.spark = None
 
         # No complete pass: every query counts as having hit the timeout.
@@ -365,13 +433,15 @@ def main(argv=None) -> int:
         return 2
     run_dir = WORK / f"run-{os.getpid()}"
     shutil.rmtree(run_dir, ignore_errors=True)
+    _become_subreaper()
+    # A SIGTERM ends the run through the ``finally`` below, which stops every process.
+    signal.signal(signal.SIGTERM, lambda signum, frame: sys.exit(128 + signum))
     _configure_env(run_dir)
     bench = Bench(args, run_dir)
     try:
         out = bench.run()
     finally:
-        if bench.spark is not None:
-            bench.spark.stop()
+        _stop_all(bench.spark)
         shutil.rmtree(run_dir, ignore_errors=True)
     print(json.dumps({"perfbench": out["detail"]}))
     print(json.dumps({

@@ -18,6 +18,7 @@ import json
 import shutil
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import numpy as np
@@ -31,11 +32,32 @@ from workloads import SIZES  # noqa: E402  (every runnable workload, listed or n
 
 
 def _run(cwd: Path, workload: str, trace: int) -> subprocess.CompletedProcess:
-    return subprocess.run(
-        [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", "3",
-         "--seconds", "1", "--trace", str(trace), "--scale", "smoke"],
-        cwd=cwd, capture_output=True, text=True, timeout=300,
-    )
+    cmd = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", "3",
+           "--seconds", "1", "--trace", str(trace), "--scale", "smoke"]
+    # Output goes to files, not pipes: a pipe would also wait for any
+    # process the run left behind holding it, and hide that process.
+    with tempfile.TemporaryFile("w+") as out, tempfile.TemporaryFile("w+") as err:
+        p = subprocess.Popen(cmd, cwd=cwd, stdout=out, stderr=err, text=True)
+        p.wait(timeout=300)
+        out.seek(0)
+        err.seek(0)
+        proc = subprocess.CompletedProcess(cmd, p.returncode, out.read(), err.read())
+    proc.pid = p.pid
+    return proc
+
+
+def _left_running(pid: int) -> list[str]:
+    """Processes still alive that the run with ``pid`` started (the JVM and Python
+    workers inherit its run directory ``.work/run-<pid>`` in their environment)."""
+    mark = f"/.work/run-{pid}/".encode()
+    left = []
+    for p in Path("/proc").iterdir():
+        try:
+            if p.name.isdigit() and mark in (p / "environ").read_bytes():
+                left.append((p / "cmdline").read_bytes().replace(b"\0", b" ")[:120].decode())
+        except OSError:
+            continue
+    return left
 
 
 @pytest.mark.parametrize("trace", [0, 1])
@@ -43,6 +65,7 @@ def _run(cwd: Path, workload: str, trace: int) -> subprocess.CompletedProcess:
 def test_run_prints_every_metric_with_its_unit(workload, trace):
     proc = _run(ROOT, workload, trace)
     assert proc.returncode == 0, proc.stderr[-3000:]
+    assert _left_running(proc.pid) == []
     result = json.loads(proc.stdout.strip().splitlines()[-1])
     assert set(result) == {"correct", "attempted", "failed", "metrics"}
     assert result["correct"] is True and result["failed"] == 0 and result["attempted"] >= 1
