@@ -1,7 +1,7 @@
 """Shared machinery for the per-table pytest-benchmark suites.
 
-Each ``bench_tableNN.py`` re-runs the cells of one evaluation table
-(paper Tables 3–12) through pytest-benchmark.  To keep
+``bench_tables.py`` re-runs cells of the evaluation tables (paper
+Tables 3–12) through pytest-benchmark.  To keep
 ``pytest benchmarks/`` in CI territory, benches run at *bench scale* —
 a further 1/10 of the reproduction scale (Airbnb ≈24k rows,
 store_sales 25k–250k).  The recorded paper-vs-ours numbers in

@@ -1,25 +1,12 @@
-"""Shared SparkSession builder for spark-submit entrypoints.
+"""Session setup for standalone ``python jobs/x.py`` / ``spark-submit`` runs.
 
-Jobs are written as functions over a SparkSession (see conftest.py for
-the pytest fixture); this helper gives standalone ``python jobs/x.py``
-/ ``spark-submit jobs/x.py`` runs the same session configuration.
+Puts the repository root on ``sys.path`` and re-exports
+:func:`conftest.get_session`, so jobs get the same session configuration
+as the tests (importing ``conftest`` also sets ``PYSPARK_SUBMIT_ARGS``
+before pyspark starts the JVM).
 """
-from __future__ import annotations
-
 import os
 import sys
 
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), ".."))
-import conftest  # noqa: F401  (sets PYSPARK_SUBMIT_ARGS before pyspark import)
-
-from pyspark.sql import SparkSession
-
-
-def get_session(app_name: str = "skyline-repro") -> SparkSession:
-    return (
-        SparkSession.builder.appName(app_name)
-        .config("spark.sql.shuffle.partitions", os.environ.get("SPARK_SHUFFLE_PARTITIONS", "64"))
-        .config("spark.sql.execution.arrow.pyspark.enabled", "true")
-        .config("spark.sql.autoBroadcastJoinThreshold", -1)
-        .getOrCreate()
-    )
+from conftest import get_session  # noqa: E402,F401

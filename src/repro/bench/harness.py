@@ -27,7 +27,7 @@ from typing import Optional
 from pyspark.sql import DataFrame, SparkSession
 
 from ..api import skyline
-from ..core.physical import reference_skyline_df
+from ..core.physical import reference_skyline
 from ..core.spec import SkylineSpec
 from ..data import airbnb, airbnb_dims, store_sales, store_sales_dims
 
@@ -107,9 +107,8 @@ def build_cell_df(spark: SparkSession, *, dataset: str, complete: bool,
         # semantics, null_aware=False): on incomplete data this is the
         # formulation a user would actually write — and the one whose
         # ~n² cost the paper's reference rows exhibit.  The null-aware
-        # variant exists for correctness comparisons (tests).
-        return reference_skyline_df(df.repartition(executors), spec,
-                                    null_aware=False)
+        # variant is what compute_skyline(algorithm="reference") runs.
+        return reference_skyline(df.repartition(executors), spec, null_aware=False)
     return skyline(df, *dim_list, complete=complete,
                    algorithm=algorithm, parallelism=executors)
 

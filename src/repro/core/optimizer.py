@@ -33,7 +33,7 @@ from dataclasses import replace
 from . import plan as P
 from .spec import SkylineSpec
 
-__all__ = ["SingleDimensionRewrite", "PushSkylineThroughJoin", "default_rules", "optimize"]
+__all__ = ["SingleDimensionRewrite", "PushSkylineThroughJoin", "optimize"]
 
 
 class SingleDimensionRewrite:
@@ -94,14 +94,12 @@ class PushSkylineThroughJoin:
         return replace(child, right=pushed)
 
 
-def default_rules() -> list:
-    # Push-down first: a pushed skyline may then qualify for the
-    # single-dimension rewrite on the smaller side.
-    return [PushSkylineThroughJoin(), SingleDimensionRewrite()]
+def optimize(root: P.LogicalPlan) -> P.LogicalPlan:
+    """Apply each rule bottom-up, in order — one pass, like a Catalyst batch.
 
-
-def optimize(root: P.LogicalPlan, rules: list | None = None) -> P.LogicalPlan:
-    """Apply each rule bottom-up, in order — one pass, like a Catalyst batch."""
-    for rule in default_rules() if rules is None else rules:
+    Push-down first: a pushed skyline may then qualify for the
+    single-dimension rewrite on the smaller side.
+    """
+    for rule in (PushSkylineThroughJoin(), SingleDimensionRewrite()):
         root = P.transform_up(root, rule)
     return root

@@ -16,7 +16,9 @@ Four executable algorithms, named as in §6.3 / the performance charts:
   phase (Appendix A).
 * ``reference``                — the Listing-4 plain-SQL ``NOT EXISTS``
   rewrite executed by the unmodified engine (null-aware variant for
-  incomplete semantics).
+  incomplete semantics).  :func:`reference_sql` is the one builder of
+  that text; ``sky_sql``, the bench harness and the DuckDB oracle
+  tests use it too.
 
 ``select_algorithm`` is Listing 8: the complete path is taken iff the
 query says ``COMPLETE`` or every skyline dimension is non-nullable.
@@ -30,6 +32,7 @@ dimensions used throughout the evaluation.)
 """
 from __future__ import annotations
 
+from dataclasses import replace
 from typing import Iterator, Optional
 
 import pandas as pd
@@ -37,16 +40,15 @@ from pyspark.sql import Column, DataFrame, functions as F
 
 from . import bnl
 from .dominance import normalize_matrix
-from .spec import DimType, SkylineSpec
+from .spec import DimType, SkylineDimension, SkylineSpec
 
 __all__ = [
     "ALGORITHMS",
     "select_algorithm",
     "compute_skyline",
     "single_dim_skyline",
+    "reference_sql",
     "reference_skyline",
-    "reference_skyline_df",
-    "not_exists_condition",
 ]
 
 ALGORITHMS = (
@@ -57,7 +59,6 @@ ALGORITHMS = (
 )
 
 _DIM_PREFIX = "__sky_d"
-_VIEW_COUNTER = [0]
 
 
 def _dim_cols(spec: SkylineSpec) -> list[str]:
@@ -174,8 +175,8 @@ def _distributed_incomplete(df: DataFrame, spec: SkylineSpec, cols: list[str],
     return _all_tuples(local).mapInPandas(_make_stage(spec, cols, "incomplete_global"), df.schema)
 
 
-def _not_exists_condition(spec: SkylineSpec, cols: list[str], *, null_aware: bool) -> str:
-    """Dominance predicate of Listing 4 over the materialized dim columns.
+def _not_exists_condition(spec: SkylineSpec, *, null_aware: bool) -> str:
+    """Dominance predicate of Listing 4 over the (plain column) dimensions.
 
     ``i`` is the inner (potential dominator), ``o`` the outer tuple.
     The null-aware variant implements the §3 incomplete-data dominance
@@ -185,8 +186,8 @@ def _not_exists_condition(spec: SkylineSpec, cols: list[str], *, null_aware: boo
     """
     soft: list[str] = []
     strict: list[str] = []
-    for d, c in zip(spec.dimensions, cols):
-        i, o = f"i.{c}", f"o.{c}"
+    for d in spec.dimensions:
+        i, o = f"i.{d.expr}", f"o.{d.expr}"
         if d.dim_type is DimType.DIFF:
             eq = f"{i} = {o}"
             soft.append(f"({eq} OR {i} IS NULL OR {o} IS NULL)" if null_aware else f"({eq})")
@@ -203,30 +204,30 @@ def _not_exists_condition(spec: SkylineSpec, cols: list[str], *, null_aware: boo
     return " AND ".join(soft + [f"({' OR '.join(strict)})"])
 
 
-# Public alias: the dominance predicate is also the building block of the
-# textual Listing-4 rewrite in repro.sqlext.rewrite.
-def not_exists_condition(spec: SkylineSpec, cols: list[str], *, null_aware: bool) -> str:
-    return _not_exists_condition(spec, cols, null_aware=null_aware)
+def reference_sql(base_sql: str, spec: SkylineSpec, *, null_aware: bool = False) -> str:
+    """Listing 4: the plain-SQL ``NOT EXISTS`` rewrite over a base query.
 
-
-def reference_skyline(df: DataFrame, spec: SkylineSpec, cols: list[str],
-                      *, null_aware: bool) -> DataFrame:
-    """Listing 4: plain-SQL ``NOT EXISTS`` rewrite run by the stock engine."""
-    spark = df.sparkSession
-    _VIEW_COUNTER[0] += 1
-    view = f"__sky_ref_{_VIEW_COUNTER[0]}"
-    df.createOrReplaceTempView(view)
-    cond = _not_exists_condition(spec, cols, null_aware=null_aware)
-    sql = (
-        f"SELECT * FROM {view} AS o WHERE NOT EXISTS ("
-        f"SELECT * FROM {view} AS i WHERE {cond})"
+    Every dimension must be a plain output column of ``base_sql`` (run
+    the analyzer or materialize expressions first).  The text is
+    engine-neutral: Spark runs it as the §6.3 reference algorithm and
+    DuckDB as the correctness oracle.  DISTINCT is left to the caller,
+    which keeps one row per dimension tuple.
+    """
+    for d in spec.dimensions:
+        if not d.is_simple_column:
+            raise ValueError(
+                f"reference rewrite requires dimension {d.expr!r} to be a plain "
+                "output column — run the analyzer first to materialize expressions"
+            )
+    cond = _not_exists_condition(spec, null_aware=null_aware)
+    return (
+        f"SELECT * FROM ({base_sql}) AS o WHERE NOT EXISTS ("
+        f"SELECT 1 FROM ({base_sql}) AS i WHERE {cond})"
     )
-    return spark.sql(sql)
 
 
-def reference_skyline_df(df: DataFrame, spec: SkylineSpec, *,
-                         null_aware: bool) -> DataFrame:
-    """Standalone Listing-4 baseline with explicit NULL semantics.
+def reference_skyline(df: DataFrame, spec: SkylineSpec, *, null_aware: bool) -> DataFrame:
+    """The reference algorithm: :func:`reference_sql` run by the stock engine.
 
     ``null_aware=False`` is the paper's literal Listing-4 rewrite under
     SQL three-valued semantics: a NULL comparison never satisfies the
@@ -238,7 +239,13 @@ def reference_skyline_df(df: DataFrame, spec: SkylineSpec, *,
     specialized incomplete algorithm exactly.
     """
     work, cols = _materialize_dims(df, spec)
-    out = reference_skyline(work, spec, cols, null_aware=null_aware)
+    over_cols = replace(spec, dimensions=tuple(
+        SkylineDimension(c, d.dim_type) for d, c in zip(spec.dimensions, cols)
+    ))
+    # spark.sql binds {df} to a temporary view for analysis only and
+    # drops it before returning.
+    sql = reference_sql("SELECT * FROM {df}", over_cols, null_aware=null_aware)
+    out = work.sparkSession.sql(sql, df=work)
     if spec.distinct:
         out = out.dropDuplicates(cols)
     return out.drop(*cols)
@@ -285,15 +292,15 @@ def compute_skyline(df: DataFrame, spec: SkylineSpec, *,
     algorithm = algorithm or select_algorithm(spec, df)
     if algorithm not in ALGORITHMS:
         raise ValueError(f"unknown algorithm {algorithm!r}; expected one of {ALGORITHMS}")
+    if algorithm == "reference":
+        return reference_skyline(df, spec, null_aware=not spec.complete)
     work, cols = _materialize_dims(df, spec)
     if algorithm == "distributed_complete":
         out = _distributed_complete(work, spec, cols, parallelism)
     elif algorithm == "non_distributed_complete":
         out = _non_distributed_complete(work, spec, cols, parallelism)
-    elif algorithm == "distributed_incomplete":
-        out = _distributed_incomplete(work, spec, cols, parallelism)
     else:
-        out = reference_skyline(work, spec, cols, null_aware=not spec.complete)
+        out = _distributed_incomplete(work, spec, cols, parallelism)
     if spec.distinct:
         out = out.dropDuplicates(cols)
     return out.drop(*cols)

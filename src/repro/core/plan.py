@@ -4,11 +4,12 @@ The paper adds a ``SkylineOperator`` node (single child, single
 output) to Catalyst's logical plan.  From PySpark we cannot add
 Catalyst nodes, so this module provides a small logical algebra *on
 top of* DataFrames: leaf :class:`Relation` nodes wrap arbitrary
-Catalyst plans (anything Spark SQL produced), and the inner nodes we
-need for skyline-specific analysis and optimization — ``Project``,
-``Filter``, ``Join``, ``Skyline``, ``Sort``, ``Limit`` — are modelled
-explicitly so optimizer rules (optimizer.py) can pattern-match on
-them, exactly like Catalyst rules do.
+Catalyst plans (anything Spark SQL produced), and only the inner nodes
+the §5.4 optimizer rules (optimizer.py) pattern-match on — ``Join``,
+``Skyline`` and the rewritten ``SingleDimSkyline`` — are modelled
+explicitly, exactly like Catalyst rules see them.  Everything else
+(projection, filtering, ORDER BY, LIMIT) stays plain Spark SQL or
+DataFrame operations.
 
 ``execute(plan, ...)`` lowers the tree back to DataFrame operations;
 the Skyline node is lowered by the physical layer (physical.py), which
@@ -16,8 +17,7 @@ performs the paper's Listing-8 algorithm selection.
 """
 from __future__ import annotations
 
-import re
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import Optional
 
 from pyspark.sql import DataFrame, SparkSession
@@ -25,20 +25,14 @@ from pyspark.sql import DataFrame, SparkSession
 from .spec import SkylineSpec
 
 __all__ = [
-    "LogicalPlan", "Relation", "Project", "Filter", "Join", "Skyline",
-    "SingleDimSkyline", "Sort", "Limit", "output_columns", "select_item_name",
-    "execute", "transform_up",
+    "LogicalPlan", "Relation", "Join", "Skyline", "SingleDimSkyline",
+    "output_columns", "execute", "transform_up",
 ]
 
 
 @dataclass(frozen=True, eq=False)
 class LogicalPlan:
-    """Base class for logical nodes."""
-
-    def children(self) -> tuple["LogicalPlan", ...]:
-        return tuple(
-            v for v in self.__dict__.values() if isinstance(v, LogicalPlan)
-        )
+    """Base class for logical nodes; child nodes are plain fields."""
 
 
 @dataclass(frozen=True, eq=False)
@@ -46,26 +40,6 @@ class Relation(LogicalPlan):
     """Leaf: an arbitrary DataFrame (any Catalyst plan)."""
 
     df: DataFrame
-    name: Optional[str] = None
-
-    def children(self) -> tuple[LogicalPlan, ...]:
-        return ()
-
-
-@dataclass(frozen=True, eq=False)
-class Project(LogicalPlan):
-    """Projection with SQL select items (``expr [AS alias]``)."""
-
-    child: LogicalPlan
-    exprs: tuple[str, ...]
-
-
-@dataclass(frozen=True, eq=False)
-class Filter(LogicalPlan):
-    """WHERE/HAVING-style filter with a SQL boolean expression."""
-
-    child: LogicalPlan
-    condition: str
 
 
 @dataclass(frozen=True, eq=False)
@@ -116,58 +90,10 @@ class SingleDimSkyline(LogicalPlan):
     null_aware: bool = False
 
 
-@dataclass(frozen=True, eq=False)
-class Sort(LogicalPlan):
-    """ORDER BY with raw SQL sort-item text."""
-
-    child: LogicalPlan
-    order: str
-
-
-@dataclass(frozen=True, eq=False)
-class Limit(LogicalPlan):
-    child: LogicalPlan
-    n: int
-
-
-_AS_RE = re.compile(r"\s+as\s+([A-Za-z_][A-Za-z0-9_]*)\s*$", re.IGNORECASE)
-_IDENT_RE = re.compile(r"^[A-Za-z_][A-Za-z0-9_]*$")
-_QUALIFIED_RE = re.compile(r"^[A-Za-z_][A-Za-z0-9_]*\.([A-Za-z_][A-Za-z0-9_]*)$")
-
-
-def select_item_name(item: str) -> Optional[str]:
-    """Output column name of a select item, if statically determinable."""
-    item = item.strip()
-    m = _AS_RE.search(item)
-    if m:
-        return m.group(1)
-    if _IDENT_RE.match(item):
-        return item
-    m = _QUALIFIED_RE.match(item)
-    if m:
-        return m.group(1)
-    return None
-
-
 def output_columns(plan: LogicalPlan) -> list[str]:
-    """Statically-known output column names of a plan (best effort).
-
-    Unknown (computed, unaliased) projection items yield a placeholder
-    that never matches an identifier, which makes dependent rules
-    conservatively inapplicable rather than wrong.
-    """
+    """Output column names of a plan."""
     if isinstance(plan, Relation):
         return list(plan.df.columns)
-    if isinstance(plan, Project):
-        cols: list[str] = []
-        for item in plan.exprs:
-            if item.strip() == "*":
-                cols.extend(output_columns(plan.child))
-            else:
-                cols.append(select_item_name(item) or f"<expr:{item}>")
-        return cols
-    if isinstance(plan, (Filter, Sort, Limit)):
-        return output_columns(plan.child)
     if isinstance(plan, (Skyline, SingleDimSkyline)):
         return output_columns(plan.child)
     if isinstance(plan, Join):
@@ -200,10 +126,6 @@ def execute(plan: LogicalPlan, spark: SparkSession) -> DataFrame:
 
     if isinstance(plan, Relation):
         return plan.df
-    if isinstance(plan, Project):
-        return execute(plan.child, spark).selectExpr(*plan.exprs)
-    if isinstance(plan, Filter):
-        return execute(plan.child, spark).where(plan.condition)
     if isinstance(plan, Join):
         left = execute(plan.left, spark)
         right = execute(plan.right, spark)
@@ -219,14 +141,4 @@ def execute(plan: LogicalPlan, spark: SparkSession) -> DataFrame:
         return physical.single_dim_skyline(
             execute(plan.child, spark), plan.spec, null_aware=plan.null_aware
         )
-    if isinstance(plan, Sort):
-        df = execute(plan.child, spark)
-        view = f"__sky_sort_{id(plan) & 0xFFFFFF:x}"
-        df.createOrReplaceTempView(view)
-        try:
-            return spark.sql(f"SELECT * FROM {view} ORDER BY {plan.order}")
-        finally:
-            pass  # view stays registered for lazy evaluation
-    if isinstance(plan, Limit):
-        return execute(plan.child, spark).limit(plan.n)
     raise TypeError(f"unknown plan node {plan!r}")

@@ -20,24 +20,20 @@ from typing import Optional
 from pyspark.sql import DataFrame, SparkSession
 
 from ..core import optimizer, plan as P
-from ..core.physical import ALGORITHMS
+from ..core.physical import ALGORITHMS, reference_sql
 from . import analyzer
 from .parser import parse_skyline_query
-from .rewrite import reference_sql
 
 __all__ = ["sky_sql"]
 
 
 def sky_sql(spark: SparkSession, query: str, *,
             algorithm: Optional[str] = None,
-            parallelism: Optional[int] = None,
-            optimize: bool = True) -> DataFrame:
+            parallelism: Optional[int] = None) -> DataFrame:
     """Execute ``query``, which may contain a ``SKYLINE OF`` clause.
 
     ``algorithm``/``parallelism`` override physical planning exactly
-    like :func:`repro.core.physical.compute_skyline`; ``optimize=False``
-    disables the skyline-specific Catalyst-style rules (for tests and
-    ablations).
+    like :func:`repro.core.physical.compute_skyline`.
     """
     if algorithm is not None and algorithm not in ALGORITHMS:
         raise ValueError(f"unknown algorithm {algorithm!r}; expected one of {ALGORITHMS}")
@@ -46,30 +42,27 @@ def sky_sql(spark: SparkSession, query: str, *,
         return spark.sql(query)
 
     resolved = analyzer.resolve(spark, parsed.base_sql, parsed.spec)
+    spec = resolved.spec
 
     if algorithm == "reference":
-        sql = reference_sql(
-            resolved.base_sql, resolved.spec,
-            null_aware=not resolved.spec.complete,
-            select="*",
-        )
-        out = spark.sql(sql)
-        if resolved.final_columns:
-            out = out.select(*resolved.final_columns)
+        out = spark.sql(reference_sql(resolved.base_sql, spec, null_aware=not spec.complete))
+        if spec.distinct:
+            out = out.dropDuplicates([d.expr for d in spec.dimensions])
     else:
-        base_df = spark.sql(resolved.base_sql)
-        root: P.LogicalPlan = P.Skyline(
-            P.Relation(base_df), resolved.spec,
+        root = optimizer.optimize(P.Skyline(
+            P.Relation(spark.sql(resolved.base_sql)), spec,
             algorithm=algorithm, parallelism=parallelism,
-        )
-        if optimize:
-            root = optimizer.optimize(root)
+        ))
         out = P.execute(root, spark)
-        if resolved.final_columns:
-            out = out.select(*resolved.final_columns)
+    if resolved.final_columns:
+        out = out.select(*resolved.final_columns)
 
     if parsed.order_by is not None:
-        out = P.execute(P.Sort(P.Relation(out), parsed.order_by), spark)
+        # spark.sql binds {out} to a temporary view for analysis only and
+        # drops it before returning; the literal ORDER BY text must not
+        # be read as str.format fields.
+        order = parsed.order_by.replace("{", "{{").replace("}", "}}")
+        out = spark.sql(f"SELECT * FROM {{out}} ORDER BY {order}", out=out)
     if parsed.limit is not None:
         out = out.limit(parsed.limit)
     return out

@@ -4,6 +4,7 @@ import pandas as pd
 import pytest
 
 from repro.api import sdiff, skyline, smax, smin
+from repro.core import plan as P
 from repro.core.spec import spec_of
 
 from tests.helpers import skyline_oracle_pandas
@@ -66,9 +67,12 @@ class TestSkylineApi:
             assert sorted(out["id"]) == sorted(exp["id"])
 
     def test_optimize_flag_single_dim(self, listings):
+        # skyline() applies the single-dimension rewrite; the unoptimized
+        # tree runs the generic algorithm and must agree with it.
         pdf, df = listings
         fast = skyline(df, smin("price")).toPandas()
-        slow = skyline(df, smin("price"), optimize=False).toPandas()
+        slow = P.execute(P.Skyline(P.Relation(df), spec_of(smin("price"))),
+                         df.sparkSession).toPandas()
         assert sorted(fast["id"]) == sorted(slow["id"])
 
     def test_no_dims_rejected(self, listings):

@@ -6,8 +6,7 @@ from repro.data.musicbrainz import (
     BASE_QUERY_COMPLETE, BASE_QUERY_INCOMPLETE, MUSICBRAINZ_DIMS,
     musicbrainz_dims, musicbrainz_tables,
 )
-from repro.sqlext import sky_sql
-from repro.sqlext.rewrite import reference_sql
+from repro.sqlext import reference_sql, sky_sql
 from repro.sqlext.parser import parse_skyline_query
 
 

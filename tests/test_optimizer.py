@@ -4,7 +4,7 @@ import pytest
 from repro.core import optimizer as O, plan as P
 from repro.core.spec import sdiff, smax, smin, spec_of
 
-from tests.test_plan import FakeDF, rel
+from tests.test_plan import rel
 
 
 class TestSingleDimensionRewrite:
@@ -38,7 +38,7 @@ class TestSingleDimensionRewrite:
         assert self.rule(node) is node
 
     def test_non_skyline_node_untouched(self):
-        node = P.Filter(rel("a"), "a > 0")
+        node = P.Join(rel("k", "a"), rel("k", "b"), on=("k",))
         assert self.rule(node) is node
 
 
@@ -100,9 +100,5 @@ class TestOptimizePipeline:
         assert isinstance(out.left, P.SingleDimSkyline)
 
     def test_optimize_preserves_plain_tree(self):
-        tree = P.Filter(rel("a"), "a > 0")
+        tree = P.Join(rel("k", "a"), rel("k", "b"), on=("k",))
         assert O.optimize(tree) is tree
-
-    def test_custom_rule_list(self):
-        node = P.Skyline(rel("a"), spec_of(smin("a")))
-        assert O.optimize(node, rules=[]) is node

@@ -88,14 +88,14 @@ class TestSingleDimPhysical:
 class TestJoinPushdownSemantics:
     def _plans(self, orders_customers, spec):
         customers, orders, cdf, odf = orders_customers
-        join = P.Join(P.Relation(odf, "orders"), P.Relation(cdf, "customers"),
+        join = P.Join(P.Relation(odf), P.Relation(cdf),
                       on=("custkey",), non_reductive="left")
         return customers, orders, P.Skyline(join, spec)
 
     def test_pushdown_preserves_result(self, spark, orders_customers):
         spec = spec_of(smin("totalprice"), smax("priority"), complete=True)
         customers, orders, root = self._plans(orders_customers, spec)
-        pushed = O.optimize(root, rules=[O.PushSkylineThroughJoin()])
+        pushed = P.transform_up(root, O.PushSkylineThroughJoin())
         assert isinstance(pushed, P.Join) and isinstance(pushed.left, P.Skyline)
         a = P.execute(root, spark).toPandas()
         b = P.execute(pushed, spark).toPandas()
@@ -120,7 +120,7 @@ class TestJoinPushdownSemantics:
         customers, orders, root = self._plans(
             orders_customers, spec_of(smin("totalprice"), smax("priority"), complete=True)
         )
-        pushed = O.optimize(root, rules=[O.PushSkylineThroughJoin()])
+        pushed = P.transform_up(root, O.PushSkylineThroughJoin())
         skyline_rows = P.execute(pushed.left, spark).count()
         assert skyline_rows < len(orders)  # the join now sees fewer tuples
 

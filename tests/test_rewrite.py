@@ -1,38 +1,43 @@
-"""Unit tests for the Listing-4 reference rewrite (repro.sqlext.rewrite)."""
+"""Unit tests for the Listing-4 reference rewrite (repro.core.physical.reference_sql)."""
 import duckdb
 import numpy as np
 import pandas as pd
 import pytest
 
-from repro.core.physical import not_exists_condition
+from repro.core.physical import reference_sql
 from repro.core.spec import sdiff, smax, smin, spec_of
-from repro.sqlext.rewrite import reference_sql, reference_sql_for_table
 
 from tests.helpers import skyline_oracle_pandas
+
+
+def condition(spec, *, null_aware):
+    """The dominance predicate: the inner query's WHERE clause."""
+    sql = reference_sql("SELECT * FROM t", spec, null_aware=null_aware)
+    return sql.split(" AS i WHERE ", 1)[1][:-1]
 
 
 class TestCondition:
     def test_min_max_operators(self):
         spec = spec_of(smin("a"), smax("b"))
-        cond = not_exists_condition(spec, ["a", "b"], null_aware=False)
+        cond = condition(spec, null_aware=False)
         assert "(i.a <= o.a)" in cond and "(i.b >= o.b)" in cond
         assert "(i.a < o.a) OR (i.b > o.b)" in cond
 
     def test_diff_equality(self):
         spec = spec_of(smin("a"), sdiff("c"))
-        cond = not_exists_condition(spec, ["a", "c"], null_aware=False)
+        cond = condition(spec, null_aware=False)
         assert "(i.c = o.c)" in cond
         # DIFF never contributes to the strict disjunction.
         assert "i.c <" not in cond and "i.c >" not in cond
 
     def test_null_aware_soft_disjuncts(self):
         spec = spec_of(smin("a"))
-        cond = not_exists_condition(spec, ["a"], null_aware=True)
+        cond = condition(spec, null_aware=True)
         assert "i.a IS NULL" in cond and "o.a IS NULL" in cond
 
     def test_null_aware_diff(self):
         spec = spec_of(smin("a"), sdiff("c"))
-        cond = not_exists_condition(spec, ["a", "c"], null_aware=True)
+        cond = condition(spec, null_aware=True)
         assert "(i.c = o.c OR i.c IS NULL OR o.c IS NULL)" in cond
 
 
@@ -46,13 +51,11 @@ class TestReferenceSql:
         with pytest.raises(ValueError, match="plain"):
             reference_sql("SELECT * FROM t", spec_of(smin("a + b")))
 
-    def test_distinct_wraps(self):
-        sql = reference_sql("SELECT a FROM t", spec_of(smin("a"), distinct=True), select="a")
-        assert sql.startswith("SELECT DISTINCT a FROM (")
-
     def test_table_variant(self):
-        sql = reference_sql_for_table("hotels", spec_of(smin("price")))
-        assert "FROM hotels AS o" in sql and "FROM hotels AS i" in sql
+        # A named table is the base query ``SELECT * FROM <table>``.
+        sql = reference_sql("SELECT * FROM hotels", spec_of(smin("price")))
+        assert "FROM (SELECT * FROM hotels) AS o" in sql
+        assert "FROM (SELECT * FROM hotels) AS i" in sql
 
 
 def _run_duckdb(sql: str, **tables) -> pd.DataFrame:
@@ -76,7 +79,7 @@ class TestAgainstDefinitionalOracle:
         pdf = pd.DataFrame(rng.integers(0, 5, size=(40, d)).astype(float), columns=cols)
         pdf["id"] = np.arange(40)
         spec = spec_of(*[smin(c) if i % 2 == 0 else smax(c) for i, c in enumerate(cols)])
-        got = _run_duckdb(reference_sql_for_table("t", spec), t=pdf)
+        got = _run_duckdb(reference_sql("SELECT * FROM t", spec), t=pdf)
         exp = skyline_oracle_pandas(pdf, spec, incomplete=False)
         assert sorted(got["id"]) == sorted(exp["id"])
 
@@ -89,7 +92,7 @@ class TestAgainstDefinitionalOracle:
         pdf = pdf.mask(mask)
         pdf["id"] = np.arange(40)
         spec = spec_of(smin("a"), smax("b"), smin("c"))
-        got = _run_duckdb(reference_sql_for_table("t", spec, null_aware=True), t=pdf)
+        got = _run_duckdb(reference_sql("SELECT * FROM t", spec, null_aware=True), t=pdf)
         exp = skyline_oracle_pandas(pdf, spec, incomplete=True)
         assert sorted(got["id"]) == sorted(exp["id"])
 
@@ -99,7 +102,7 @@ class TestAgainstDefinitionalOracle:
         # reference uses the null-aware variant.
         pdf = pd.DataFrame({"a": [1.0, 2.0], "b": [np.nan, 5.0], "id": [0, 1]})
         spec = spec_of(smin("a"), smin("b"))
-        plain = _run_duckdb(reference_sql_for_table("t", spec), t=pdf)
-        aware = _run_duckdb(reference_sql_for_table("t", spec, null_aware=True), t=pdf)
+        plain = _run_duckdb(reference_sql("SELECT * FROM t", spec), t=pdf)
+        aware = _run_duckdb(reference_sql("SELECT * FROM t", spec, null_aware=True), t=pdf)
         assert sorted(plain["id"]) == [0, 1]   # NULL blocks dominance in SQL
         assert sorted(aware["id"]) == [0]      # row 0 null-aware-dominates row 1

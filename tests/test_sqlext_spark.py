@@ -3,6 +3,7 @@ import numpy as np
 import pandas as pd
 import pytest
 
+from repro.core.physical import ALGORITHMS, compute_skyline
 from repro.core.spec import smax, smin, spec_of
 from repro.oracle import assert_equivalent
 from repro.sqlext import sky_sql
@@ -223,3 +224,37 @@ class TestSkylineOverComplexBase:
     def test_parse_error_propagates(self, spark, hotels):
         with pytest.raises(SkylineParseError):
             sky_sql(spark, "SELECT * FROM hotels SKYLINE OF price")
+
+
+class TestRegressions:
+    @pytest.mark.parametrize("algorithm", ALGORITHMS)
+    def test_distinct_keeps_one_row_per_dimension_tuple(self, spark, algorithm):
+        # DISTINCT keeps one row per dimension tuple, even when a
+        # non-dimension column differs between the tied rows.
+        spark.createDataFrame(
+            pd.DataFrame({"id": [1, 2, 3], "a": [1, 1, 2]})
+        ).createOrReplaceTempView("distinct_t")
+        out = sky_sql(spark, "SELECT * FROM distinct_t SKYLINE OF DISTINCT a MIN",
+                      algorithm=algorithm).toPandas()
+        assert len(out) == 1 and out["a"].tolist() == [1]
+
+    def test_no_temp_views_left_behind(self, spark, hotels):
+        def temp_views():
+            return {t.name for t in spark.catalog.listTables() if t.isTemporary}
+
+        before = temp_views()
+        sky_sql(spark, "SELECT * FROM hotels SKYLINE OF price MIN, user_rating MAX "
+                       "ORDER BY price DESC LIMIT 2").collect()
+        df = spark.table("hotels")
+        compute_skyline(df, spec_of(smin("price"), smax("user_rating")),
+                        algorithm="reference").collect()
+        assert temp_views() == before
+
+    def test_order_by_text_with_braces(self, spark, hotels):
+        # The ORDER BY tail is literal SQL, not a format string.
+        out = sky_sql(
+            spark,
+            "SELECT * FROM hotels SKYLINE OF price MIN, user_rating MAX "
+            "ORDER BY concat(city, '{x}') DESC, price",
+        ).toPandas()
+        assert list(out["city"]) == sorted(out["city"], reverse=True)
