@@ -7,9 +7,15 @@ pandas batches via ``mapInPandas``.
 
 * :func:`bnl_skyline_mask` — the window-based BNL algorithm [5] for
   complete data, used for both the local and the global stage of the
-  "complete" algorithms.  Vectorized in chunks: each incoming chunk is
-  first bulk-filtered against the current window, and only the
-  survivors go through the per-tuple insert/evict loop.
+  "complete" algorithms.  Above ``_SEED`` rows an elimination filter
+  (LESS, Godfrey et al. 2005; SFS, Chomicki et al. 2003) runs first:
+  the skyline of the ``_SEED`` rows with the lowest per-dimension rank
+  sums drops every row it dominates, in one batch dominance pass.  The
+  window loop then runs once over the survivors, vectorized in chunks:
+  each incoming chunk is first bulk-filtered against the current
+  window, and only the survivors go through the per-tuple insert/evict
+  loop.  The filter is exact (DESIGN.md §5): it drops only dominated
+  rows, and dominance on complete data is transitive.
 * :func:`incomplete_local_skyline_mask` — local stage for incomplete
   data: rows are grouped by their null bitmap (which dimensions are
   NULL) and a complete BNL runs inside each group over the group's
@@ -36,10 +42,57 @@ __all__ = [
 ]
 
 _CHUNK = 2048
+#: Rows whose skyline seeds the elimination filter of bnl_skyline_mask.
+_SEED = 64
 
 
 def bnl_skyline_mask(mm: np.ndarray, diff: np.ndarray | None, *, chunk: int = _CHUNK) -> np.ndarray:
     """Complete-data BNL: boolean keep-mask of the skyline rows of (mm, diff).
+
+    Above ``_SEED`` rows an elimination filter (:func:`_prefilter`)
+    first drops rows a small skyline dominates; the window loop
+    (:func:`_window_mask`) then runs once over the survivors.
+    """
+    n = mm.shape[0]
+    keep = np.zeros(n, dtype=bool)
+    if n == 0:
+        return keep
+    if np.isnan(mm).any() or (diff is not None and np.isnan(diff).any()):
+        raise ValueError("bnl_skyline_mask requires complete (NaN-free) data")
+    rows = _prefilter(mm, diff) if n > _SEED else np.arange(n)
+    keep[rows] = _window_mask(mm[rows], None if diff is None else diff[rows], chunk)
+    return keep
+
+
+def _prefilter(mm: np.ndarray, diff: np.ndarray | None) -> np.ndarray:
+    """Indices of the rows not dominated by the skyline of ``_SEED`` seed rows.
+
+    The seeds are the rows with the lowest sum of per-dimension ranks,
+    which tend to dominate much of the input (LESS/SFS elimination
+    filter).  Dominance is full Definition 3.1, DIFF equality included,
+    so a dropped row is never a skyline row and every dominated survivor
+    is still dominated by a skyline row among the survivors.
+    """
+    seeds = _lowest_rank_sums(mm)  # its n-row temporaries are freed before the pass below
+    sky = seeds[_window_mask(mm[seeds], None if diff is None else diff[seeds], _CHUNK)]
+    dominated = dm.dominated_mask_complete(mm[sky], None if diff is None else diff[sky], mm, diff)
+    return np.flatnonzero(~dominated)
+
+
+def _lowest_rank_sums(mm: np.ndarray) -> np.ndarray:
+    """Indices of the ``_SEED`` rows with the lowest sum of per-column ranks."""
+    n = mm.shape[0]
+    positions = np.arange(n)
+    rank = np.empty(n, dtype=np.int64)
+    rank_sum = np.zeros(n, dtype=np.int64)
+    for col in mm.T:
+        rank[np.argsort(col)] = positions
+        rank_sum += rank
+    return np.argpartition(rank_sum, _SEED)[:_SEED]
+
+
+def _window_mask(mm: np.ndarray, diff: np.ndarray | None, chunk: int) -> np.ndarray:
+    """The window BNL loop [5] over NaN-free (mm, diff).
 
     The window holds (indices of) the skyline of all rows seen so far.
     A tuple dominated by the window is dropped without further checks
@@ -48,10 +101,6 @@ def bnl_skyline_mask(mm: np.ndarray, diff: np.ndarray | None, *, chunk: int = _C
     """
     n = mm.shape[0]
     keep = np.zeros(n, dtype=bool)
-    if n == 0:
-        return keep
-    if np.isnan(mm).any() or (diff is not None and np.isnan(diff).any()):
-        raise ValueError("bnl_skyline_mask requires complete (NaN-free) data")
     w_idx: np.ndarray = np.empty(0, dtype=np.int64)
     for lo in range(0, n, chunk):
         hi = min(n, lo + chunk)

@@ -60,6 +60,10 @@ def normalize_matrix(pdf: pd.DataFrame, spec: SkylineSpec, cols: list[str]) -> t
     return mm, diff
 
 
+#: Target (set, candidate) pairs per chunk of the batch dominance masks.
+_PAIRS = 1_000_000
+
+
 def _check_pair_shapes(mm: np.ndarray, diff: np.ndarray | None) -> None:
     if mm.ndim != 2:
         raise ValueError("mm must be 2-D (n, k)")
@@ -95,30 +99,11 @@ def dominated_mask_complete(mm: np.ndarray, diff: np.ndarray | None,
                             cand_mm: np.ndarray, cand_diff: np.ndarray | None) -> np.ndarray:
     """Boolean mask over ``cand``: candidate i is dominated by some row of the set.
 
-    Chunked over candidates so peak memory stays at
-    ``O(chunk * |set|)``; this is the batch-elimination primitive of
-    the chunked BNL in bnl.py.
+    This is the batch-elimination primitive of the chunked BNL and of
+    its pre-filter in bnl.py.  On NaN-free rows the null-aware test of
+    :func:`_dominated_mask` is Definition 3.1 itself.
     """
-    _check_pair_shapes(mm, diff)
-    n_set = mm.shape[0]
-    n_cand = cand_mm.shape[0]
-    out = np.zeros(n_cand, dtype=bool)
-    if n_set == 0 or n_cand == 0:
-        return out
-    # Aim for ~32M float comparisons per chunk.
-    chunk = max(1, int(32_000_000 / max(1, n_set * max(1, mm.shape[1]))))
-    for lo in range(0, n_cand, chunk):
-        hi = min(n_cand, lo + chunk)
-        c_mm = cand_mm[lo:hi]  # (c, k)
-        # (n_set, c, k) broadcasting via expansion on axis 1.
-        le = np.all(mm[:, None, :] <= c_mm[None, :, :], axis=2)
-        lt = np.any(mm[:, None, :] < c_mm[None, :, :], axis=2)
-        dom = le & lt
-        if diff is not None:
-            c_diff = cand_diff[lo:hi]
-            dom &= np.all(diff[:, None, :] == c_diff[None, :, :], axis=2)
-        out[lo:hi] = dom.any(axis=0)
-    return out
+    return _dominated_mask(mm, diff, cand_mm, cand_diff, exclude_self=False)
 
 
 # ---------------------------------------------------------------------------
@@ -168,30 +153,44 @@ def dominated_mask_incomplete(mm: np.ndarray, diff: np.ndarray | None,
     only applied afterwards, so cyclic dominance never deletes a
     dominator prematurely.
     """
+    return _dominated_mask(mm, diff, cand_mm, cand_diff, exclude_self=exclude_self)
+
+
+def _dominated_mask(mm: np.ndarray, diff: np.ndarray | None,
+                    cand_mm: np.ndarray, cand_diff: np.ndarray | None,
+                    *, exclude_self: bool) -> np.ndarray:
+    """Null-aware dominated mask over ``cand``, shared by both batch kernels.
+
+    The (set, candidate) pair masks are 2-D and built one dimension at
+    a time, in candidate chunks of about ``_PAIRS`` pairs, so peak
+    memory stays at three ``(|set|, chunk)`` boolean arrays whatever
+    the number of dimensions.
+    """
     _check_pair_shapes(mm, diff)
     n_set = mm.shape[0]
     n_cand = cand_mm.shape[0]
     out = np.zeros(n_cand, dtype=bool)
     if n_set == 0 or n_cand == 0:
         return out
-    chunk = max(1, int(16_000_000 / max(1, n_set * max(1, mm.shape[1]))))
-    set_nan = np.isnan(mm)
+    chunk = max(1, _PAIRS // n_set)
     for lo in range(0, n_cand, chunk):
         hi = min(n_cand, lo + chunk)
-        c_mm = cand_mm[lo:hi]
-        c_nan = np.isnan(c_mm)
-        both = ~set_nan[:, None, :] & ~c_nan[None, :, :]  # (n_set, c, k)
-        with np.errstate(invalid="ignore"):
-            ok = np.all(~both | (mm[:, None, :] <= c_mm[None, :, :]), axis=2)
-            better = np.any(both & (mm[:, None, :] < c_mm[None, :, :]), axis=2)
-        dom = ok & better
-        if diff is not None:
-            c_diff = cand_diff[lo:hi]
-            both_d = ~np.isnan(diff)[:, None, :] & ~np.isnan(c_diff)[None, :, :]
-            with np.errstate(invalid="ignore"):
-                dom &= np.all(~both_d | (diff[:, None, :] == c_diff[None, :, :]), axis=2)
+        # Any comparison with NaN is False, so a < b and a > b hold only
+        # where both tuples are non-NULL: exactly the dimensions that count.
+        worse = np.zeros((n_set, hi - lo), dtype=bool)
+        better = np.zeros((n_set, hi - lo), dtype=bool)
+        cmp = np.empty((n_set, hi - lo), dtype=bool)
+        for j in range(mm.shape[1]):
+            a, b = mm[:, j, None], cand_mm[None, lo:hi, j]
+            worse |= np.greater(a, b, out=cmp)
+            better |= np.less(a, b, out=cmp)
+        for j in range(0 if diff is None else diff.shape[1]):
+            a, b = diff[:, j, None], cand_diff[None, lo:hi, j]
+            worse |= np.greater(a, b, out=cmp)
+            worse |= np.less(a, b, out=cmp)
+        better &= np.logical_not(worse, out=worse)
         if exclude_self:
             idx = np.arange(lo, hi)
-            dom[idx, idx - lo] = False
-        out[lo:hi] = dom.any(axis=0)
+            better[idx, idx - lo] = False
+        out[lo:hi] = better.any(axis=0)
     return out

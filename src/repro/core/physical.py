@@ -27,8 +27,10 @@ Skyline dimensions may be arbitrary numeric SQL expressions; they are
 materialized into internal ``__sky_d<i>`` double columns for the
 duration of the operator and dropped afterwards.  (Evaluating
 dimensions as float64 — NaN for NULL — substitutes the paper's
-per-datatype dispatch; exact for the integer/decimal/boolean
-dimensions used throughout the evaluation.)
+per-datatype dispatch.  It is exact only for values a double holds
+exactly: BIGINT values above 2^53 and DECIMALs with more than 15-17
+significant digits can round to the same double and give a wrong
+skyline, and DATE dimensions fail the cast.)
 """
 from __future__ import annotations
 

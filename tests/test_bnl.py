@@ -1,9 +1,12 @@
 """Unit tests for the BNL skyline kernels (repro.core.bnl)."""
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.core import bnl
+from repro.core import dominance as dm
 
 
 def arr(*rows):
@@ -56,6 +59,13 @@ class TestBnlComplete:
         mm = np.column_stack([np.arange(n), n - np.arange(n)]).astype(float)
         assert bnl.bnl_skyline_mask(mm, None).all()
 
+    def test_prefilter_drops_dominated_rows_within_diff_groups(self):
+        n = 200
+        mm = np.column_stack([np.arange(n), np.arange(n)]).astype(float)
+        diff = (np.arange(n) % 2).astype(float)[:, None]
+        np.testing.assert_array_equal(bnl._prefilter(mm, None), [0])
+        np.testing.assert_array_equal(bnl._prefilter(mm, diff), [0, 1])
+
     def test_correlated_single_survivor(self):
         n = 50
         mm = np.column_stack([np.arange(n), np.arange(n)]).astype(float)
@@ -64,14 +74,28 @@ class TestBnlComplete:
 
 
 @settings(max_examples=60, deadline=None)
-@given(st.integers(1, 4), st.integers(0, 60), st.integers(0, 10_000), st.booleans())
-def test_bnl_matches_naive(d, n, seed, ties):
+@given(st.integers(1, 4), st.integers(0, 300), st.integers(0, 2), st.integers(0, 10_000),
+       st.booleans(), st.sampled_from([7, dm._PAIRS]))
+def test_bnl_matches_naive(d, n, j, seed, ties, pairs):
+    """Inputs on both sides of the pre-filter's _SEED rows; small integers
+    give heavy ties and exact duplicates; 0-2 DIFF columns."""
     rng = np.random.default_rng(seed)
     mm = (rng.integers(0, 4, size=(n, d)) if ties else rng.random((n, d)) * 4).astype(float)
-    np.testing.assert_array_equal(
-        bnl.bnl_skyline_mask(mm, None),
-        bnl.naive_skyline_mask(mm, None, incomplete=False),
-    )
+    diff = rng.integers(0, 3, size=(n, j)).astype(float) if j else None
+    with mock.patch.object(dm, "_PAIRS", pairs):
+        got = bnl.bnl_skyline_mask(mm, diff)
+    np.testing.assert_array_equal(got, bnl.naive_skyline_mask(mm, diff, incomplete=False))
+
+
+@settings(max_examples=20, deadline=None)
+@given(st.integers(2, 4), st.integers(0, 300), st.integers(0, 10_000), st.booleans())
+def test_bnl_keeps_every_anticorrelated_row(d, n, seed, with_diff):
+    """The pre-filter removes nothing here, and must still run only once."""
+    rng = np.random.default_rng(seed)
+    x = rng.permutation(n).astype(float)
+    mm = np.column_stack([x, n - x, rng.integers(0, 4, size=(n, d - 2))]).astype(float)
+    diff = rng.integers(0, 2, size=(n, 1)).astype(float) if with_diff else None
+    assert bnl.bnl_skyline_mask(mm, diff).all()
 
 
 @settings(max_examples=40, deadline=None)
@@ -163,6 +187,28 @@ def test_incomplete_global_matches_naive(d, n, seed):
         bnl.incomplete_global_skyline_mask(mm, None),
         bnl.naive_skyline_mask(mm, None, incomplete=True),
     )
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(1, 4), st.integers(0, 40), st.integers(0, 2), st.integers(0, 10_000),
+       st.sampled_from([7, dm._PAIRS]))
+def test_incomplete_global_mask_matches_scalar(d, n, j, seed, pairs):
+    """The all-pairs global-phase mask against the scalar null-aware check."""
+    rng = np.random.default_rng(seed)
+    mm = rng.integers(0, 4, size=(n, d)).astype(float)
+    mm[rng.random((n, d)) < 0.3] = np.nan
+    diff = None
+    if j:
+        diff = rng.integers(0, 2, size=(n, j)).astype(float)
+        diff[rng.random((n, j)) < 0.3] = np.nan
+    with mock.patch.object(dm, "_PAIRS", pairs):
+        got = dm.dominated_mask_incomplete(mm, diff, mm, diff, exclude_self=True)
+    row_diff = (lambda r: None) if diff is None else (lambda r: diff[r])
+    expected = [
+        any(dm.dominates_incomplete(mm[r], row_diff(r), mm[i], row_diff(i)) for r in range(n) if r != i)
+        for i in range(n)
+    ]
+    np.testing.assert_array_equal(got, np.array(expected, dtype=bool))
 
 
 @settings(max_examples=30, deadline=None)

@@ -1,4 +1,6 @@
 """Unit tests for the dominance kernels (repro.core.dominance)."""
+from unittest import mock
+
 import numpy as np
 import pandas as pd
 import pytest
@@ -147,12 +149,14 @@ class TestIncompleteKernels:
     st.integers(1, 4),
     st.integers(1, 30),
     st.integers(0, 10_000),
+    st.sampled_from([7, dm._PAIRS]),
 )
-def test_batch_mask_agrees_with_scalar_complete(d, n, seed):
+def test_batch_mask_agrees_with_scalar_complete(d, n, seed, pairs):
     rng = np.random.default_rng(seed)
     mm = rng.integers(0, 4, size=(n, d)).astype(float)
     cand = rng.integers(0, 4, size=(7, d)).astype(float)
-    mask = dm.dominated_mask_complete(mm, None, cand, None)
+    with mock.patch.object(dm, "_PAIRS", pairs):
+        mask = dm.dominated_mask_complete(mm, None, cand, None)
     for i in range(7):
         assert mask[i] == dm.any_dominates_complete(mm, None, cand[i], None)
 
